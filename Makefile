@@ -4,10 +4,16 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full
+.PHONY: test bench-selftest lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The repository benchmark's own self-tests (perfbench/README.md): catch an
+# API change that breaks the benchmark's imports or its by-name patch
+# targets before the benchmark itself runs.
+bench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 # The chaos suite: deterministic fault injection, degraded reads, and the
 # zero-wrong-bytes invariant (run with -m chaos; see docs/deployment.md).

@@ -18,7 +18,6 @@ __version__ = "1.0.0"
 
 _LEPTON_EXPORTS = (
     "CompressionResult",
-    "DecompressionResult",
     "compress",
     "decompress",
     "roundtrip_check",

@@ -17,9 +17,8 @@ from repro.core.lepton import (
     FORMAT_LEPTON,
     LeptonConfig,
     compress,
-    compress_stream,
+    decompress,
     decompress_chunks,
-    decompress_result,
     roundtrip_check,
 )
 from repro.obs import get_registry, get_tracer
@@ -71,12 +70,20 @@ def _read_chunks(path: str, size: int = 1 << 20):
             yield chunk
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: a zero or negative size has no meaning."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 class _Sink:
     """Lazily-opened output writer.
 
     The destination is only created once the first piece arrives, so a
-    reject with ``--no-fallback`` — which yields nothing — leaves no
-    empty output file behind.  ``path=None`` just counts bytes.
+    decode that fails before producing output leaves no empty file
+    behind.  ``path=None`` just counts bytes.
     """
 
     def __init__(self, path):
@@ -129,7 +136,7 @@ def _stats_command(data: bytes, config: LeptonConfig) -> int:
     """Compress (and, on success, decompress) purely for the telemetry."""
     result = compress(data, config)
     if result.format == FORMAT_LEPTON:
-        decompress_result(result.payload)
+        decompress(result.payload)
     print(get_registry().render())
     return EXIT_STATUS[result.exit_code]
 
@@ -283,30 +290,24 @@ def _dispatch(args, config: LeptonConfig) -> int:
         return _stats_command(_read(args.input), config)
 
     if args.command == "compress":
-        # Streams payload chunks to the sink as the session emits them;
-        # the CompressionResult is the generator's return value.
-        sink = _Sink(args.output)
-        stream = compress_stream(_read_chunks(args.input), config)
-        result = None
-        try:
-            while result is None:
-                try:
-                    sink.write(next(stream))
-                except StopIteration as stop:
-                    result = stop.value
-        finally:
-            sink.close()
+        # The encoder needs the whole file (the §5.7 admission check
+        # re-encodes the entire scan), so read it, then write the payload.
+        # A reject without fallback has no payload and creates no file.
+        result = compress(_read(args.input), config)
         if result.format is None:
             print(f"rejected: {result.exit_code.value} ({result.detail})",
                   file=sys.stderr)
             return EXIT_STATUS[result.exit_code]
+        sink = _Sink(args.output)
+        try:
+            sink.write(result.payload)
+        finally:
+            sink.close()
         if not args.quiet:
-            saved = (1.0 - sink.bytes_written / result.input_size
-                     if result.input_size else 0.0)
             print(
                 f"{result.exit_code.value}: {result.input_size} -> "
-                f"{sink.bytes_written} bytes "
-                f"({100 * saved:.1f}% saved, {result.format})",
+                f"{result.output_size} bytes "
+                f"({100 * result.savings_fraction:.1f}% saved, {result.format})",
                 file=sys.stderr,
             )
         return EXIT_STATUS[result.exit_code]
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="for serve: per-connection read timeout in "
                              "seconds (slow-loris guard; default: none)")
-    parser.add_argument("--chunk-size", type=int, default=None,
+    parser.add_argument("--chunk-size", type=_positive_int, default=None,
                         help="for serve: storage chunk size in bytes "
                              "(default: the production 4 MiB; the live "
                              "chaos harness shrinks it so streamed reads "

@@ -5,9 +5,16 @@
 * :mod:`repro.core.model` — the statistic-bin probability model (§3.2/3.3).
 * :mod:`repro.core.predictors` — 7x7 averaging, Lakhani edge, and DC
   gradient predictors (§A.2).
-* :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — JPEG ↔ Lepton.
-* :mod:`repro.core.chunks` — independent 4-MiB chunk compression.
-* :mod:`repro.core.lepton` — the public compress/decompress API.
+* :mod:`repro.core.session` — the one encode and one decode pipeline
+  (:class:`~repro.core.session.EncodeSession` /
+  :class:`~repro.core.session.DecodeSession`).
+* :mod:`repro.core.lepton` — the public API over them: ``compress`` (whole
+  buffer) and ``decompress_chunks`` (chunk-iterating), with ``decompress``,
+  ``decompress_stream`` and ``roundtrip_check`` as one-line callers.
+* :mod:`repro.core.chunks` — independent 4-MiB chunk compression and the
+  chunk-range arithmetic the storage layer shares.
+* :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — the timed
+  variants and Huffman accounting the speed and breakdown figures read.
 """
 
 from repro.core.errors import ExitCode

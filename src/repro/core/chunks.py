@@ -50,7 +50,13 @@ class StoredChunk:
 
 
 def chunk_ranges(total_size: int, chunk_size: int = CHUNK_SIZE) -> List["tuple[int, int]"]:
-    """Byte ranges ``[a, b)`` of each chunk of a file."""
+    """Byte ranges ``[a, b)`` of each chunk of a file.
+
+    A non-positive ``chunk_size`` raises :class:`ValueError`: it would
+    otherwise describe a file with no chunks at all.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if total_size == 0:
         return []
     return [
@@ -150,7 +156,7 @@ def _compress_jpeg_chunked(data, ranges, config,
             pad_final=pad_final,
             segments=segments,
         )
-        payload = write_container(lepton, interleave_slice=config.interleave_slice)
+        payload = write_container(lepton)
         chunks.append(StoredChunk(index, FORMAT_LEPTON, payload, (a, b)))
     return chunks
 
@@ -160,18 +166,3 @@ def decompress_chunk(chunk: StoredChunk, parallel: bool = True) -> bytes:
     if chunk.format == FORMAT_LEPTON:
         return decompress(chunk.payload, parallel=parallel)
     return zlib.decompress(chunk.payload)
-
-
-def decompress_file(chunks: List[StoredChunk], parallel: bool = True) -> bytes:
-    """Reassemble a whole file from its stored chunks."""
-    ordered = sorted(chunks, key=lambda c: c.index)
-    return b"".join(decompress_chunk(c, parallel=parallel) for c in ordered)
-
-
-def verify_chunks(data: bytes, chunks: List[StoredChunk]) -> bool:
-    """Round-trip admission check over every chunk independently."""
-    for chunk in chunks:
-        a, b = chunk.original_range
-        if decompress_chunk(chunk) != data[a:b]:
-            return False
-    return True

@@ -1,62 +1,16 @@
-"""Lepton → JPEG decompression entry points (§3.4).
+"""Decoder-side timing for the speed figures (§3.4, Figures 1 and 7).
 
-All four variants are thin adapters over
-:class:`repro.core.session.DecodeSession` — the one streaming, row-bounded
-pipeline: arithmetic-decode one MCU row band into a sliding
-:class:`~repro.core.rowbuffer.RowWindow`, Huffman re-encode it resuming
-from the segment's handover word, emit, recycle.  Segment outputs
-concatenate directly — each writer starts mid-byte with the bits the
-previous segment left unfinished — and the decoder streams bytes as soon
-as the header arrives (time-to-first-byte, Figure 1).
+Decoding itself is :class:`repro.core.session.DecodeSession`, driven by
+:func:`repro.core.lepton.decompress_chunks`: arithmetic-decode one MCU row
+band into a sliding :class:`~repro.core.rowbuffer.RowWindow`, Huffman
+re-encode it resuming from the segment's handover word, emit, recycle.
+This module only reads that session's per-segment timings.
 """
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.model import ModelConfig
 from repro.core.session import DecodeSession
-
-
-def decode_lepton_stream(
-    payload: bytes,
-    model_config: Optional[ModelConfig] = None,
-    parallel: bool = True,
-) -> Iterator[bytes]:
-    """Yield the original bytes incrementally.
-
-    The emitted-prefix (header slice) is yielded before any arithmetic
-    decoding happens; each segment's scan bytes follow as that segment
-    completes.  Total output always equals ``output_size`` exactly.
-    """
-    session = DecodeSession(model_config=model_config, parallel=parallel)
-    yield from session.write(payload)
-    yield from session.finish()
-
-
-def decode_lepton(
-    payload: bytes,
-    model_config: Optional[ModelConfig] = None,
-    parallel: bool = True,
-) -> bytes:
-    """Decode a Lepton container back to the exact original bytes."""
-    return b"".join(decode_lepton_stream(payload, model_config, parallel))
-
-
-def decode_lepton_bounded(
-    payload: bytes,
-    model_config: Optional[ModelConfig] = None,
-    window_rows: Optional[int] = None,
-) -> Iterator[bytes]:
-    """Row-by-row streaming decode with a bounded working set (§1, §4.2).
-
-    The session's default discipline, surfaced: segments run sequentially
-    (this is the footprint-over-parallelism mode, like the paper's 24-MiB
-    single-thread figure) and ``window_rows`` caps the retained block rows,
-    so the working set is proportional to image *width*, not area.
-    """
-    session = DecodeSession(model_config=model_config, parallel=False,
-                            window_rows=window_rows)
-    yield from session.write(payload)
-    yield from session.finish()
 
 
 def decode_lepton_timed(

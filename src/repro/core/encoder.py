@@ -1,12 +1,13 @@
-"""JPEG → Lepton compression entry points (§3).
+"""Encoder-side measurement helpers (§3, Figures 4 and 8).
 
 The pipeline itself — parse, Huffman scan decode, the §5.7 round-trip
 admission check, segment coding, container assembly — lives in
-:class:`repro.core.session.EncodeSession`; this module is the thin
-whole-buffer adapter layer over it, plus the Figure-4 Huffman accounting
-helper.  Both entry points run the *same* session, so they enforce the
-same CMYK policy, memory budgets and deadline — the ``_timed`` variant of
-earlier builds forked the codec loop and silently dropped those checks.
+:class:`repro.core.session.EncodeSession` and is driven by
+:func:`repro.core.lepton.compress`.  This module holds the timed variant
+the thread-scaling benchmark reads (it runs the *same* session, so it
+enforces the same CMYK policy, memory budgets and deadline) and the
+Figure-4 Huffman accounting helper, and re-exports the session's encode
+types.
 """
 
 from typing import Dict, Optional
@@ -25,46 +26,12 @@ from repro.jpeg.parser import JpegImage
 __all__ = [
     "EncodeStats",
     "RoundtripMismatch",
-    "encode_jpeg",
     "encode_jpeg_timed",
     "estimate_decode_memory",
     "estimate_encode_memory",
     "huffman_bit_breakdown",
     "verify_and_index",
 ]
-
-
-def encode_jpeg(
-    data: bytes,
-    model_config: Optional[ModelConfig] = None,
-    threads: Optional[int] = None,
-    decode_memory_limit: Optional[int] = None,
-    encode_memory_limit: Optional[int] = None,
-    deadline: Optional[float] = None,
-    collect_breakdown: bool = False,
-    interleave_slice: int = 4096,
-    allow_cmyk: bool = False,
-) -> "tuple[bytes, EncodeStats]":
-    """Compress one JPEG file to a Lepton container.
-
-    Raises the :mod:`repro.jpeg` and :mod:`repro.core.errors` exception
-    families on rejection; :func:`repro.core.lepton.compress` maps them to
-    §6.2 exit codes and the Deflate fallback.
-    """
-    session = EncodeSession(
-        model_config=model_config,
-        threads=threads,
-        decode_memory_limit=decode_memory_limit,
-        encode_memory_limit=encode_memory_limit,
-        deadline=deadline,
-        interleave_slice=interleave_slice,
-        allow_cmyk=allow_cmyk,
-    )
-    session.write(data)
-    payload = b"".join(session.finish())
-    if collect_breakdown:
-        session.stats.original_bits = huffman_bit_breakdown(session.image)
-    return payload, session.stats
 
 
 def encode_jpeg_timed(

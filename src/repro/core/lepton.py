@@ -4,6 +4,10 @@ This is the layer the blockservers call (§5): it maps every failure to a
 §6.2 exit code, falls back to Deflate for inputs Lepton cannot represent
 (so *something* is always stored), and never admits a Lepton payload that
 was not verified to round-trip.
+
+There is one encode, :func:`compress` (whole buffer), and one decode,
+:func:`decompress_chunks` (chunk-iterating); :func:`decompress`,
+:func:`decompress_stream` and :func:`roundtrip_check` are thin callers.
 """
 
 import time
@@ -12,9 +16,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.core import format as lformat
-from repro.core.decoder import decode_lepton, decode_lepton_stream
-from repro.core.encoder import EncodeStats, RoundtripMismatch, encode_jpeg
-from repro.core.session import DecodeSession, EncodeSession
+from repro.core.encoder import huffman_bit_breakdown
+from repro.core.session import (
+    DecodeSession,
+    EncodeSession,
+    EncodeStats,
+    RoundtripMismatch,
+)
 from repro.core.errors import (
     REASON_TO_EXIT,
     ExitCode,
@@ -47,7 +55,6 @@ class LeptonConfig:
     timeout_seconds: Optional[float] = None
     deflate_fallback: bool = True
     collect_breakdown: bool = False
-    interleave_slice: int = 4096
     #: §6.2: production rejects 4-colour JPEGs "for simplicity"; the codec
     #: itself handles them (a fourth per-channel model) when enabled.
     allow_cmyk: bool = False
@@ -86,15 +93,6 @@ class CompressionResult:
         return len(self.payload) / self.input_size
 
 
-@dataclass
-class DecompressionResult:
-    """Outcome of a decompression."""
-
-    data: bytes
-    format: str
-    decode_seconds: float
-
-
 def _looks_like_jpeg(data: bytes) -> bool:
     """Plausibility probe: SOI followed by a well-formed marker chain.
 
@@ -127,11 +125,7 @@ def _classify_jpeg_error(data: bytes, exc: JpegError) -> ExitCode:
 
 
 def _classify_reject(data: bytes, exc: Exception) -> "tuple[ExitCode, str]":
-    """Map an encode-pipeline exception to its §6.2 exit code and detail.
-
-    Shared by :func:`compress` and :func:`compress_stream` so the two entry
-    points cannot drift apart on classification.
-    """
+    """Map an encode-pipeline exception to its §6.2 exit code and detail."""
     if isinstance(exc, JpegError):
         return _classify_jpeg_error(data, exc), str(exc)
     if isinstance(exc, RoundtripMismatch):
@@ -190,19 +184,20 @@ def _compress_inner(data: bytes, config: Optional[LeptonConfig]) -> CompressionR
     exit_code = ExitCode.SUCCESS
     detail = ""
     try:
-        payload, stats = encode_jpeg(
-            data,
+        session = EncodeSession(
             model_config=config.model,
             threads=config.threads,
             decode_memory_limit=config.decode_memory_limit,
             encode_memory_limit=config.encode_memory_limit,
             deadline=deadline,
-            collect_breakdown=config.collect_breakdown,
-            interleave_slice=config.interleave_slice,
             allow_cmyk=config.allow_cmyk,
         )
+        session.write(data)
+        payload = b"".join(session.finish())
+        if config.collect_breakdown:
+            session.stats.original_bits = huffman_bit_breakdown(session.image)
         return CompressionResult(
-            ExitCode.SUCCESS, FORMAT_LEPTON, payload, len(data), stats
+            ExitCode.SUCCESS, FORMAT_LEPTON, payload, len(data), session.stats
         )
     except (JpegError, LeptonError) as exc:
         exit_code, detail = _classify_reject(data, exc)
@@ -215,111 +210,6 @@ def _compress_inner(data: bytes, config: Optional[LeptonConfig]) -> CompressionR
     return CompressionResult(exit_code, None, None, len(data), None, detail)
 
 
-def compress_stream(
-    chunks, config: Optional[LeptonConfig] = None
-) -> Iterator[bytes]:
-    """Streaming compression: consume input chunks, yield payload chunks.
-
-    ``chunks`` is any iterable of byte chunks (a file read loop, a network
-    stream).  The yielded chunks concatenate to exactly what
-    :func:`compress` would have returned as ``payload`` — a Lepton
-    container on success, the Deflate fallback (produced incrementally) on
-    a classified reject.  The generator's *return value* (``.value`` on the
-    terminating :class:`StopIteration`) is the :class:`CompressionResult`
-    with ``payload=None``: the bytes already went to the consumer.
-
-    Like :func:`compress`, this never raises for classifiable rejects and
-    feeds the same ``lepton.compress.*`` telemetry.
-    """
-    config = config or LeptonConfig()
-    registry = get_registry()
-    registry.counter("lepton.compress.attempts").inc()
-    # Telemetry only: never feeds a coded decision.
-    start = time.monotonic()  # lint: disable=D2
-    deadline = (
-        start + config.timeout_seconds
-        if config.timeout_seconds is not None
-        else None
-    )
-    session = EncodeSession(
-        model_config=config.model,
-        threads=config.threads,
-        decode_memory_limit=config.decode_memory_limit,
-        encode_memory_limit=config.encode_memory_limit,
-        deadline=deadline,
-        interleave_slice=config.interleave_slice,
-        allow_cmyk=config.allow_cmyk,
-    )
-    buffered = []
-    total_in = 0
-    for chunk in chunks:
-        chunk = bytes(chunk)
-        total_in += len(chunk)
-        buffered.append(chunk)
-        session.write(chunk)
-
-    output_size = 0
-    # The span stays open across yields: the encode stages it parents all
-    # run inside, so the trace keeps the same shape as compress().
-    with trace_span("lepton.compress", input_bytes=total_in):
-        try:
-            for piece in session.finish():
-                output_size += len(piece)
-                yield piece
-            stats = session.stats
-            if config.collect_breakdown:
-                from repro.core.encoder import huffman_bit_breakdown
-
-                stats.original_bits = huffman_bit_breakdown(session.image)
-            result = CompressionResult(
-                ExitCode.SUCCESS, FORMAT_LEPTON, None, total_in, stats
-            )
-        except (JpegError, LeptonError) as exc:
-            exit_code, detail = _classify_reject(b"".join(buffered), exc)
-            if config.deflate_fallback:
-                # The parse stage rejects before any container chunk is
-                # yielded, so the fallback stream starts from byte zero.
-                deflater = zlib.compressobj(6)
-                for chunk in buffered:
-                    piece = deflater.compress(chunk)
-                    if piece:
-                        output_size += len(piece)
-                        yield piece
-                piece = deflater.flush()
-                output_size += len(piece)
-                yield piece
-                result = CompressionResult(
-                    exit_code, FORMAT_DEFLATE, None, total_in, None, detail
-                )
-                registry.counter("lepton.compress.fallbacks").inc()
-            else:
-                result = CompressionResult(
-                    exit_code, None, None, total_in, None, detail
-                )
-    _EXIT_SINK.record(result.exit_code)
-    registry.counter("lepton.compress.input_bytes").inc(total_in)
-    if result.format is not None:
-        registry.counter("lepton.compress.output_bytes").inc(output_size)
-    registry.histogram("lepton.compress.seconds").observe(
-        time.monotonic() - start  # lint: disable=D2
-    )
-    return result
-
-
-def _inflate(payload: bytes) -> bytes:
-    """Deflate-decode a stored payload, mapping garbage to the typed error.
-
-    Empty or corrupt payloads used to leak a raw ``zlib.error`` out of
-    every decompress entry point; callers match on :class:`FormatError`.
-    """
-    try:
-        return zlib.decompress(payload)
-    except zlib.error as exc:
-        raise FormatError(
-            f"stored payload is neither Lepton nor Deflate: {exc}"
-        ) from exc
-
-
 def decompress(payload: bytes, parallel: bool = True,
                model_config: Optional[ModelConfig] = None) -> bytes:
     """Recover the exact original bytes from a stored payload.
@@ -327,62 +217,35 @@ def decompress(payload: bytes, parallel: bool = True,
     Auto-detects Lepton containers by magic; anything else is Deflate
     (the fallback path).
     """
-    return decompress_result(payload, parallel, model_config).data
-
-
-def decompress_result(payload: bytes, parallel: bool = True,
-                      model_config: Optional[ModelConfig] = None) -> DecompressionResult:
-    """Like :func:`decompress` but with timing and format metadata."""
     start = time.monotonic()  # lint: disable=D2 - telemetry only
     with trace_span("lepton.decompress", payload_bytes=len(payload)):
-        if payload[:2] == lformat.MAGIC:
-            data = decode_lepton(payload, model_config=model_config, parallel=parallel)
-            fmt = FORMAT_LEPTON
-        else:
-            data = _inflate(payload)
-            fmt = FORMAT_DEFLATE
-    seconds = time.monotonic() - start  # lint: disable=D2 - telemetry only
+        data = b"".join(decompress_stream(payload, parallel, model_config))
+    fmt = FORMAT_LEPTON if payload[:2] == lformat.MAGIC else FORMAT_DEFLATE
     registry = get_registry()
     registry.counter("lepton.decompress.count", format=fmt).inc()
-    registry.histogram("lepton.decompress.seconds").observe(seconds)
-    return DecompressionResult(data, fmt, seconds)
+    registry.histogram("lepton.decompress.seconds").observe(
+        time.monotonic() - start  # lint: disable=D2 - telemetry only
+    )
+    return data
 
 
 def decompress_stream(payload: bytes, parallel: bool = True,
                       model_config: Optional[ModelConfig] = None) -> Iterator[bytes]:
-    """Streaming decompression (time-to-first-byte path)."""
-    if payload[:2] == lformat.MAGIC:
-        yield from decode_lepton_stream(payload, model_config, parallel)
-    else:
-        yield _inflate(payload)
-
-
-def decompress_bounded(payload: bytes,
-                       model_config: Optional[ModelConfig] = None) -> Iterator[bytes]:
-    """Row-by-row streaming decompression with a bounded working set.
-
-    The production memory discipline (§1, §4.2): coefficients live in a
-    sliding window of block rows, output drains every MCU row, and the
-    working set scales with image *width* rather than area.
-    """
-    from repro.core.decoder import decode_lepton_bounded
-
-    if payload[:2] == lformat.MAGIC:
-        yield from decode_lepton_bounded(payload, model_config)
-    else:
-        yield _inflate(payload)
+    """Streaming decompression of one whole payload (time-to-first-byte path)."""
+    return decompress_chunks([payload], model_config=model_config, parallel=parallel)
 
 
 def decompress_chunks(
     chunks,
+    *,
     model_config: Optional[ModelConfig] = None,
     parallel: bool = False,
     deadline: Optional[float] = None,
 ) -> Iterator[bytes]:
     """Streaming decompression from an *iterator* of stored-payload chunks.
 
-    The dual of :func:`compress_stream`: the format is sniffed from the
-    first two bytes, Lepton containers stream through a
+    The one decode pipeline every other entry point calls: the format is
+    sniffed from the first two bytes, Lepton containers stream through a
     :class:`~repro.core.session.DecodeSession` (output begins before the
     final input chunk is consumed), and anything else inflates
     incrementally as Deflate.  Garbage, truncated, and empty payloads all
@@ -449,61 +312,4 @@ def roundtrip_check(data: bytes, config: Optional[LeptonConfig] = None) -> Compr
                 None,
                 "post-compression round-trip verification failed",
             )
-    return result
-
-
-def roundtrip_check_chunked(
-    chunks, config: Optional[LeptonConfig] = None
-) -> CompressionResult:
-    """§5.7 admission gate over an *iterator* of input chunks.
-
-    Drives :func:`compress_stream`, then verifies the stored payload
-    decodes — chunk against chunk via :func:`decompress_chunks` — to
-    exactly the input it consumed.  A mismatch downgrades to the Deflate
-    fallback with ``ROUNDTRIP_FAILED``, like :func:`roundtrip_check`.
-    The returned result carries the full stored payload.
-    """
-    buffered: "list[bytes]" = []
-
-    def _tee(source):
-        for chunk in source:
-            chunk = bytes(chunk)
-            buffered.append(chunk)
-            yield chunk
-
-    stream = compress_stream(_tee(chunks), config)
-    pieces = []
-    while True:
-        try:
-            pieces.append(next(stream))
-        except StopIteration as stop:
-            result = stop.value
-            break
-    payload = b"".join(pieces)
-    data = b"".join(buffered)
-    result.payload = payload
-    if result.format != FORMAT_LEPTON:
-        return result
-    position = 0
-    ok = True
-    try:
-        for piece in decompress_chunks([payload]):
-            if data[position : position + len(piece)] != piece:
-                ok = False
-                break
-            position += len(piece)
-    except (LeptonError, FormatError):
-        ok = False
-    if ok and position != len(data):
-        ok = False
-    if not ok:
-        get_registry().counter("lepton.verify.roundtrip_failures").inc()
-        return CompressionResult(
-            ExitCode.ROUNDTRIP_FAILED,
-            FORMAT_DEFLATE,
-            zlib.compress(data, 6),
-            len(data),
-            None,
-            "post-compression round-trip verification failed",
-        )
     return result

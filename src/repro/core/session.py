@@ -49,7 +49,6 @@ from repro.core.errors import (
     TimeoutExceeded,
 )
 from repro.core.format import (
-    INTERLEAVE_SLICE,
     ContainerReader,
     LeptonFile,
     SegmentRecord,
@@ -191,7 +190,6 @@ class EncodeSession:
         decode_memory_limit: Optional[int] = None,
         encode_memory_limit: Optional[int] = None,
         deadline: Optional[float] = None,
-        interleave_slice: int = INTERLEAVE_SLICE,
         allow_cmyk: bool = False,
     ):
         self._model_config = model_config or ModelConfig()
@@ -199,7 +197,6 @@ class EncodeSession:
         self._decode_memory_limit = decode_memory_limit
         self._encode_memory_limit = encode_memory_limit
         self._deadline = deadline
-        self._interleave_slice = interleave_slice
         self._allow_cmyk = allow_cmyk
         self._parts: List[bytes] = []
         self.image: Optional[JpegImage] = None
@@ -276,7 +273,7 @@ class EncodeSession:
         )
         self.image = img
         self.stats = stats
-        pieces = iter_container(lepton, self._interleave_slice)
+        pieces = iter_container(lepton)
         while True:
             with trace_span("lepton.encode.container") as rec:
                 piece = next(pieces, None)
@@ -313,12 +310,10 @@ class DecodeSession:
         self,
         model_config: Optional[ModelConfig] = None,
         parallel: bool = False,
-        window_rows: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         self._model_config = model_config or ModelConfig()
         self._parallel = parallel
-        self._window_rows = window_rows
         self._deadline = deadline
         self._reader = ContainerReader()
         self._lepton: Optional[LeptonFile] = None
@@ -468,12 +463,12 @@ class DecodeSession:
         img = self._img
         frame = img.frame
         seg = lepton.segments[index]
-        window_rows = self._window_rows
-        if window_rows is None:
-            window_rows = 2 * frame.max_v + 2
+        # A fixed depth: a row band reads only its own block rows plus the
+        # one above it, which this covers for every sampling factor.
+        depth = 2 * frame.max_v + 2
         windows = [
             RowWindow(c.blocks_h, c.blocks_w,
-                      window=window_rows * (c.v if frame.interleaved else 1))
+                      window=depth * (c.v if frame.interleaved else 1))
             for c in frame.components
         ]
         codec = SegmentCodec(frame, img.quant_tables, windows, self._model_config)

@@ -17,10 +17,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import hashlib
 
+from repro.core.chunks import CHUNK_SIZE, chunk_ranges
 from repro.core.errors import ExitCode
 from repro.core.lepton import LeptonConfig, compress, decompress
 from repro.obs import ExitCodeSink, MetricsRegistry, get_registry, trace_span
-from repro.storage.chunking import CHUNK_SIZE, split_chunks
 from repro.storage.retry import RetryPolicy
 from repro.storage.simclock import SimClock
 
@@ -90,7 +90,9 @@ class Metaserver:
                 user_file = files[file_index]
                 if not user_file.backfill_candidate:
                     continue
-                for chunk in split_chunks(user_file.data, self.chunk_size):
+                data = user_file.data
+                for a, b in chunk_ranges(len(data), self.chunk_size):
+                    chunk = data[a:b]
                     sha = hashlib.sha256(chunk).hexdigest()
                     self._chunk_index[sha] = chunk
                     hashes.append(sha)

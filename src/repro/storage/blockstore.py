@@ -14,7 +14,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
+from repro.core.chunks import (
+    CHUNK_SIZE,
+    StoredChunk,
+    compress_chunked,
+    decompress_chunk,
+)
 from repro.core.errors import LeptonError, TimeoutExceeded
 from repro.core.lepton import FORMAT_LEPTON, LeptonConfig, decompress_chunks
 from repro.faults.killpoints import KillPoints
@@ -28,7 +33,6 @@ from repro.storage.backends import (
     decode_blob,
     encode_blob,
 )
-from repro.storage.chunking import CHUNK_SIZE
 from repro.storage.journal import Journal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.retry import RetryPolicy
@@ -109,6 +113,11 @@ class BlockStore:
     _put_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
     _put_seq: int = 0
+
+    def __post_init__(self) -> None:
+        if self.chunk_size <= 0:
+            raise ValueError(
+                f"chunk_size must be positive, got {self.chunk_size}")
 
     @property
     def durable(self) -> bool:

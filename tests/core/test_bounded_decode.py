@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import compress_chunked
-from repro.core.decoder import decode_lepton_bounded
-from repro.core.lepton import LeptonConfig, compress, decompress_bounded
+from repro.core.lepton import LeptonConfig, compress, decompress_stream
 from repro.core.rowbuffer import RowWindow, RowWindowError
 from repro.corpus.builder import corpus_jpeg
+
+
+def _bounded(payload):
+    """The footprint-over-parallelism decode: segments run one after the
+    other on the consuming thread, each through its row windows."""
+    return decompress_stream(payload, parallel=False)
 
 
 class TestRowWindow:
@@ -74,7 +79,7 @@ class TestRowWindow:
 def test_bounded_decode_byte_exact(kwargs, threads):
     data = corpus_jpeg(seed=95, **kwargs)
     payload = compress(data, LeptonConfig(threads=threads)).payload
-    assert b"".join(decode_lepton_bounded(payload)) == data
+    assert b"".join(_bounded(payload)) == data
 
 
 def test_bounded_decode_of_chunk_containers():
@@ -82,7 +87,7 @@ def test_bounded_decode_of_chunk_containers():
     chunks = compress_chunked(data, 600, LeptonConfig(threads=2))
     for chunk in chunks:
         a, b = chunk.original_range
-        assert b"".join(decode_lepton_bounded(chunk.payload)) == data[a:b]
+        assert b"".join(_bounded(chunk.payload)) == data[a:b]
 
 
 def test_bounded_matches_regular_decode():
@@ -90,13 +95,13 @@ def test_bounded_matches_regular_decode():
 
     data = corpus_jpeg(seed=97, height=64, width=96, restart_interval=4)
     payload = compress(data, LeptonConfig(threads=2)).payload
-    assert b"".join(decode_lepton_bounded(payload)) == decompress(payload)
+    assert b"".join(_bounded(payload)) == decompress(payload)
 
 
 def test_decompress_bounded_handles_deflate_fallback():
     blob = b"not a jpeg" * 50
     result = compress(blob)
-    assert b"".join(decompress_bounded(result.payload)) == blob
+    assert b"".join(_bounded(result.payload)) == blob
 
 
 def test_working_set_scales_with_width_not_height():
@@ -107,7 +112,7 @@ def test_working_set_scales_with_width_not_height():
                            grayscale=True)
         payload = compress(data, LeptonConfig(threads=1)).payload
         tracemalloc.start()
-        out = b"".join(decode_lepton_bounded(payload))
+        out = b"".join(_bounded(payload))
         _, pk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(out) == len(data)
@@ -122,7 +127,7 @@ def test_working_set_scales_with_width_not_height():
 def test_bounded_yields_per_row_pieces():
     data = corpus_jpeg(seed=99, height=96, width=96, quality=85)
     payload = compress(data, LeptonConfig(threads=1)).payload
-    pieces = list(decode_lepton_bounded(payload))
+    pieces = list(_bounded(payload))
     # header + one piece per MCU row (some may be empty-trimmed) ≥ 4
     assert len(pieces) >= 4
     assert b"".join(pieces) == data

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import compress_chunked, verify_chunks
+from repro.core.chunks import compress_chunked, decompress_chunk
 from repro.core.errors import ExitCode
 from repro.core.lepton import (
     FORMAT_DEFLATE,
@@ -11,6 +11,7 @@ from repro.core.lepton import (
     LeptonConfig,
     compress,
     decompress,
+    decompress_stream,
 )
 from repro.corpus.images import synthetic_photo
 from repro.jpeg.parser import parse_jpeg
@@ -85,14 +86,14 @@ class TestLepton:
         chunks = compress_chunked(cmyk_jpeg, 600,
                                   LeptonConfig(allow_cmyk=True, threads=1))
         assert all(c.format == FORMAT_LEPTON for c in chunks)
-        assert verify_chunks(cmyk_jpeg, chunks)
+        assert all(decompress_chunk(c) == cmyk_jpeg[slice(*c.original_range)]
+                   for c in chunks)
 
     def test_chunked_cmyk_without_flag_falls_back(self, cmyk_jpeg):
         chunks = compress_chunked(cmyk_jpeg, 600, LeptonConfig())
         assert all(c.format == FORMAT_DEFLATE for c in chunks)
 
     def test_bounded_decode_cmyk(self, cmyk_jpeg):
-        from repro.core.decoder import decode_lepton_bounded
-
         result = compress(cmyk_jpeg, LeptonConfig(allow_cmyk=True, threads=2))
-        assert b"".join(decode_lepton_bounded(result.payload)) == cmyk_jpeg
+        stream = decompress_stream(result.payload, parallel=False)
+        assert b"".join(stream) == cmyk_jpeg

@@ -8,8 +8,8 @@ Three guarantees the refactor exists to make structural:
 * the session streams: output begins before the final input chunk is
   consumed, observable through the `lepton.session.decode.*` telemetry;
 * the encode entry points share one policy — `encode_jpeg_timed` rejects
-  exactly what `encode_jpeg` rejects (the old fork silently dropped the
-  CMYK policy, the memory budgets, and the deadline).
+  exactly what `EncodeSession` (behind `compress`) rejects (an old fork
+  silently dropped the CMYK policy, the memory budgets, and the deadline).
 """
 
 import random
@@ -17,13 +17,9 @@ import tracemalloc
 
 import pytest
 
-from repro.core.decoder import (
-    decode_lepton,
-    decode_lepton_bounded,
-    decode_lepton_stream,
-    decode_lepton_timed,
-)
-from repro.core.encoder import encode_jpeg, encode_jpeg_timed
+from repro.core.chunks import StoredChunk, decompress_chunk
+from repro.core.decoder import decode_lepton_timed
+from repro.core.encoder import encode_jpeg_timed
 from repro.core.errors import (
     FormatError,
     LeptonError,
@@ -32,10 +28,14 @@ from repro.core.errors import (
     VersionError,
 )
 from repro.core.lepton import (
+    FORMAT_LEPTON,
     LeptonConfig,
     compress,
+    decompress,
     decompress_chunks,
+    decompress_stream,
 )
+from repro.core.session import EncodeSession
 from repro.corpus.builder import corpus_jpeg
 from repro.corpus.images import synthetic_photo
 from repro.jpeg.errors import JpegError
@@ -71,13 +71,18 @@ def _outcome(decoder, payload):
 
 
 DECODERS = {
-    "decode_lepton": lambda p: decode_lepton(p),
-    "decode_lepton_stream": lambda p: b"".join(decode_lepton_stream(p)),
-    "decode_lepton_bounded": lambda p: b"".join(decode_lepton_bounded(p)),
-    "decode_lepton_timed": lambda p: decode_lepton_timed(p)[0],
-    "decompress_chunks": lambda p: b"".join(
+    "decompress": lambda p: decompress(p),
+    "decompress_stream(parallel)": lambda p: b"".join(
+        decompress_stream(p, parallel=True)),
+    "decompress_stream(sequential)": lambda p: b"".join(
+        decompress_stream(p, parallel=False)),
+    "decompress_chunks(97-byte pieces)": lambda p: b"".join(
         decompress_chunks([p[i:i + 97] for i in range(0, len(p), 97)] or [p])
     ),
+    # The range is metadata for the store; decoding never reads it.
+    "decompress_chunk": lambda p: decompress_chunk(
+        StoredChunk(0, FORMAT_LEPTON, p, (0, 0))),
+    "decode_lepton_timed": lambda p: decode_lepton_timed(p)[0],
 }
 
 
@@ -133,7 +138,7 @@ def test_bounded_decode_peak_scales_with_width_not_area():
         payload = compress(data, LeptonConfig(threads=1)).payload
         consumed = 0
         tracemalloc.start()
-        for piece in decode_lepton_bounded(payload):
+        for piece in decompress_stream(payload, parallel=False):
             consumed += len(piece)
         _, pk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -180,41 +185,48 @@ class TestStreaming:
         assert ttfb.count >= 1
 
 
+def _encode(data, **session_kwargs):
+    """The encode ``compress`` runs, without its reject-to-exit-code mapping."""
+    session = EncodeSession(**session_kwargs)
+    session.write(data)
+    return b"".join(session.finish())
+
+
 class TestTimedEncodeParity:
-    """Satellite of the refactor: the timed encoder runs the same session,
-    so it enforces the same policy — the old fork did not."""
+    """The timed encoder runs the same session as ``compress``, so it
+    enforces the same policy — an old fork did not."""
 
     def test_cmyk_rejected_identically(self, cmyk_jpeg):
         with pytest.raises(JpegError) as plain:
-            encode_jpeg(cmyk_jpeg)
+            _encode(cmyk_jpeg)
         with pytest.raises(JpegError) as timed:
             encode_jpeg_timed(cmyk_jpeg)
         assert type(plain.value) is type(timed.value)
 
     def test_cmyk_allowed_identically(self, cmyk_jpeg):
-        payload, _ = encode_jpeg(cmyk_jpeg, allow_cmyk=True)
+        payload = compress(cmyk_jpeg, LeptonConfig(allow_cmyk=True)).payload
         timed_payload, _, _ = encode_jpeg_timed(cmyk_jpeg, allow_cmyk=True)
         assert payload == timed_payload
-        assert decode_lepton(payload) == cmyk_jpeg
+        assert decompress(payload) == cmyk_jpeg
 
     def test_decode_memory_limit_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg(data, decode_memory_limit=1024)
+            _encode(data, decode_memory_limit=1024)
         with pytest.raises(MemoryLimitExceeded):
             encode_jpeg_timed(data, decode_memory_limit=1024)
 
     def test_encode_memory_limit_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg(data, encode_memory_limit=1024)
+            _encode(data, encode_memory_limit=1024)
         with pytest.raises(MemoryLimitExceeded):
             encode_jpeg_timed(data, encode_memory_limit=1024)
 
     def test_deadline_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(TimeoutExceeded):
-            encode_jpeg(data, deadline=-1.0)
+            _encode(data, deadline=-1.0)
         with pytest.raises(TimeoutExceeded):
             encode_jpeg_timed(data, deadline=-1.0)
 

@@ -4,12 +4,14 @@ A build whose own sources violate D1–D5 cannot qualify; this test is the
 CI face of the same check `storage.qualification.qualify_build` applies.
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.lint import all_rules, check_shipped_tree, default_config, run_lint
+from repro.lint.callgraph import BLOCKING_PROJECT_FUNCTIONS
 
 pytestmark = pytest.mark.lint
 
@@ -46,3 +48,12 @@ def test_dataflow_scopes_cover_serve_and_the_linter_itself():
     assert config.in_scope("D7", "repro.storage.blockstore")  # callee summaries
     for rule_id in ("D4", "D5", "D9", "D10"):
         assert config.in_scope(rule_id, "repro.lint.engine"), rule_id
+
+
+@pytest.mark.parametrize("dotted", sorted(BLOCKING_PROJECT_FUNCTIONS))
+def test_blocking_project_functions_all_resolve(dotted):
+    """A renamed or deleted entry point must leave this list with it:
+    a name that no longer resolves silently stops being checked."""
+    module_name, _, attr = dotted.rpartition(".")
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr, None)), f"{dotted} does not resolve"

@@ -83,10 +83,10 @@ class TestExitCodeProduction:
         assert status == EXIT_STATUS[ExitCode.OOM_KILL] == 14
 
     def test_internal_invariant_breakage_is_impossible_bucket(self, monkeypatch):
-        def broken_encoder(*args, **kwargs):
+        def broken_finish(self):
             raise FormatError("container writer invariant violated")
 
-        monkeypatch.setattr(lepton_mod, "encode_jpeg", broken_encoder)
+        monkeypatch.setattr(lepton_mod.EncodeSession, "finish", broken_finish)
         result = compress(corpus_jpeg(seed=3, height=32, width=32))
         assert result.exit_code is ExitCode.IMPOSSIBLE
         assert "FormatError" in result.detail

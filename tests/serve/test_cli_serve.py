@@ -32,6 +32,19 @@ def test_help_epilog_lists_every_subcommand():
                              "stats", "lint", "chaos", "serve"}
 
 
+@pytest.mark.parametrize("size", ["0", "-4"])
+def test_non_positive_chunk_size_is_a_usage_error(size, capsys, monkeypatch):
+    """A store with such a chunk size would serve empty files."""
+    from repro import cli
+
+    monkeypatch.setattr(cli, "_serve",
+                        lambda args, config: pytest.fail("server started"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["serve", "--chunk-size", size])
+    assert exit_info.value.code == 2
+    assert "--chunk-size" in capsys.readouterr().err
+
+
 def test_sigterm_drains_and_exits_7(tmp_path):
     """SIGTERM → graceful drain → the §6.2 SERVER_SHUTDOWN exit status."""
     port = "18515"

@@ -1,7 +1,10 @@
 """Content-addressed store, metaserver scanning, backfill workers."""
 
+import hashlib
+
 import pytest
 
+from repro.core.chunks import chunk_ranges
 from repro.core.errors import ExitCode
 from repro.core.lepton import LeptonConfig
 from repro.corpus import corruptions
@@ -13,31 +16,28 @@ from repro.storage.backfill import (
     UserFile,
 )
 from repro.storage.blockstore import BlockStore, IntegrityError
-from repro.storage.chunking import chunk_refs, is_jpeg_start, split_chunks
 from repro.storage.simclock import SimClock
 
 
 class TestChunking:
     def test_split_covers_input(self):
         data = bytes(range(256)) * 10
-        chunks = split_chunks(data, 300)
+        chunks = [data[a:b] for a, b in chunk_ranges(len(data), 300)]
         assert b"".join(chunks) == data
         assert all(len(c) <= 300 for c in chunks)
 
     def test_refs_are_content_addressed(self):
-        data = b"A" * 700
-        refs = chunk_refs(data, 256)
-        assert refs[0].sha256 == refs[1].sha256  # identical content
-        assert refs[0].index != refs[1].index
-
-    def test_jpeg_start_detection(self):
-        assert is_jpeg_start(b"\xFF\xD8\xFF\xE0")
-        assert not is_jpeg_start(b"\x89PNG")
-        assert not is_jpeg_start(b"\xFF")
+        """The metaserver names chunks by content: equal bytes, equal hash."""
+        meta = Metaserver({1: [UserFile("a.jpg", b"A" * 700)]}, n_shards=1,
+                          chunk_size=256)
+        hashes = meta.request_work(0).chunk_hashes
+        assert len(hashes) == 3
+        assert hashes[0] == hashes[1] != hashes[2]  # the tail is shorter
+        assert hashes[0] == hashlib.sha256(b"A" * 256).hexdigest()
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
-            split_chunks(b"x", 0)
+            chunk_ranges(1, 0)
 
 
 class TestBlockStore:
@@ -49,6 +49,13 @@ class TestBlockStore:
         data = corpus_jpeg(seed=70, height=96, width=96)
         store.put_file("a.jpg", data)
         assert store.get_file("a.jpg") == data
+
+    @pytest.mark.parametrize("chunk_size", [0, -4])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        """Such a store would record a file with no chunks and serve
+        ``b""`` for it."""
+        with pytest.raises(ValueError):
+            BlockStore(chunk_size=chunk_size)
 
     def test_lepton_savings_tracked(self):
         # Whole-file chunks: per-chunk container overhead (the replicated
