@@ -4,10 +4,17 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-selftest lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full
+.PHONY: check test bench-selftest lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The one-command pre-PR gate: tier-1 tests, the lint gate, then the
+# benchmark's self-tests, in that order, stopping at the first failure.
+check:
+	$(MAKE) test
+	$(MAKE) lint
+	$(MAKE) bench-selftest
 
 # The repository benchmark's own self-tests (perfbench/README.md): catch an
 # API change that breaks the benchmark's imports or its by-name patch

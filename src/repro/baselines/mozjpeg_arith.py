@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.coefcoder import DecodeIO, EncodeIO, code_value
+from repro.core.coefcoder import BitIO, code_value
 from repro.core.errors import FormatError
 from repro.core.model import Model
 from repro.jpeg.parser import parse_jpeg
@@ -104,7 +104,7 @@ def compress(data: bytes) -> bytes:
         raise FormatError("mozjpeg-arith: scan does not round-trip")
     model = Model()
     encoder = BoolEncoder()
-    _code_image(EncodeIO(model, encoder), img.frame, img.coefficients)
+    _code_image(BitIO(model, encoder), img.frame, img.coefficients)
     coded = encoder.finish()
     meta = bytearray()
     meta += struct.pack("<I", len(img.header_bytes))
@@ -143,6 +143,6 @@ def decompress(payload: bytes) -> bytes:
         for c in img.frame.components
     ]
     model = Model()
-    _code_image(DecodeIO(model, BoolDecoder(coded)), img.frame, img.coefficients)
+    _code_image(BitIO(model, BoolDecoder(coded)), img.frame, img.coefficients)
     scan_bytes, _ = encode_scan(img)
     return header + scan_bytes + trailer

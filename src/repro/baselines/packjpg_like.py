@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.coefcoder import DecodeIO, EncodeIO, SegmentCodec, code_value
+from repro.core.coefcoder import BitIO, SegmentCodec, code_value
 from repro.core.errors import FormatError
 from repro.core.model import Model, ModelConfig, pred_bucket
 from repro.jpeg.parser import parse_jpeg
@@ -105,7 +105,7 @@ def compress(data: bytes, mode: str = "latest") -> bytes:
         raise FormatError("packjpg-like: scan does not round-trip")
     encoder = BoolEncoder()
     if mode == "planar":
-        _code_bands(EncodeIO(Model(), encoder), img.coefficients)
+        _code_bands(BitIO(Model(), encoder), img.coefficients)
     else:
         codec = SegmentCodec(
             img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]
@@ -157,7 +157,7 @@ def decompress(payload: bytes) -> bytes:
         for c in img.frame.components
     ]
     if mode == "planar":
-        _code_bands(DecodeIO(Model(), BoolDecoder(coded)), img.coefficients)
+        _code_bands(BitIO(Model(), BoolDecoder(coded)), img.coefficients)
     else:
         codec = SegmentCodec(
             img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]

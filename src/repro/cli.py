@@ -9,6 +9,7 @@ docs/observability.md for the contract).
 """
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -47,27 +48,16 @@ COMMANDS = {
 NO_INPUT_COMMANDS = ("chaos", "serve")
 
 
-def _read(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as handle:
-        return handle.read()
+#: sysexits ``EX_NOINPUT``: the input path could not be opened.  No §6.2
+#: status uses it, so a missing file never reads as a conversion outcome.
+EX_NOINPUT = 66
 
 
-def _read_chunks(path: str, size: int = 1 << 20):
-    """Yield the input in bounded chunks ('-' streams stdin)."""
+def _open_input(path: str):
+    """The input as a binary file ('-' is stdin, which stays open)."""
     if path == "-":
-        while True:
-            chunk = sys.stdin.buffer.read(size)
-            if not chunk:
-                return
-            yield chunk
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(size)
-            if not chunk:
-                return
-            yield chunk
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
 
 
 def _positive_int(text: str) -> int:
@@ -286,14 +276,28 @@ def _dispatch(args, config: LeptonConfig) -> int:
         return _lint(args.input, args.as_json, args.quiet,
                      changed=args.changed, cache_path=args.lint_cache)
 
+    # Every other command converts one input.  Open it before any work, so
+    # that a missing or unreadable path has its own status and is never
+    # confused with an output or codec OSError.
+    try:
+        source = _open_input(args.input)
+    except OSError as exc:
+        print(f"lepton: cannot read {args.input}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EX_NOINPUT
+    with source as handle:
+        return _convert(args, config, handle)
+
+
+def _convert(args, config: LeptonConfig, source) -> int:
     if args.command == "stats":
-        return _stats_command(_read(args.input), config)
+        return _stats_command(source.read(), config)
 
     if args.command == "compress":
         # The encoder needs the whole file (the §5.7 admission check
         # re-encodes the entire scan), so read it, then write the payload.
         # A reject without fallback has no payload and creates no file.
-        result = compress(_read(args.input), config)
+        result = compress(source.read(), config)
         if result.format is None:
             print(f"rejected: {result.exit_code.value} ({result.detail})",
                   file=sys.stderr)
@@ -320,7 +324,7 @@ def _dispatch(args, config: LeptonConfig) -> int:
 
         def _counted():
             nonlocal bytes_in
-            for chunk in _read_chunks(args.input):
+            for chunk in iter(lambda: source.read(1 << 20), b""):
                 bytes_in += len(chunk)
                 yield chunk
 
@@ -335,7 +339,7 @@ def _dispatch(args, config: LeptonConfig) -> int:
         return 0
 
     # verify: the admission gate, end to end.
-    result = roundtrip_check(_read(args.input), config)
+    result = roundtrip_check(source.read(), config)
     status = "ok" if result.ok else f"fell back ({result.exit_code.value})"
     if not args.quiet:
         print(f"verify: {status}", file=sys.stderr)

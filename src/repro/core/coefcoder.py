@@ -1,7 +1,7 @@
 """Coefficient coding: Exp-Golomb values over adaptive bins (§A.2).
 
 One code path serves both directions: every context computation is shared
-between encoder and decoder through a tiny bit-IO adapter, which is the
+between encoder and decoder through one :class:`BitIO`, which is the
 classic way to guarantee the two sides can never derive different contexts
 (the determinism bugs of §6.1 were exactly such divergences).
 
@@ -11,13 +11,15 @@ the Lakhani prediction), and finally the DC coefficient (delta against the
 gradient prediction) — DC last so that every AC coefficient can inform it.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
 from repro.core.errors import FormatError, ValueOutOfRange
 from repro.core.model import (
+    COST_FRAC_BITS,
+    _BIT_COST,
     Model,
     ModelConfig,
     avg_bucket,
@@ -50,43 +52,65 @@ _SEC_EDGE = 2
 _SEC_NNZ77 = 3
 _SEC_NNZ_EDGE = 4
 
+#: The Fig. 4 component category each section's coded bits are charged to.
+SECTION_CATEGORY = {
+    _SEC_NNZ77: "nnz",
+    _SEC_77: "7x7",
+    _SEC_EDGE: "edge",
+    _SEC_NNZ_EDGE: "edge",
+    _SEC_DC: "dc",
+}
+
 _DC_CLAMP = 1 << 11
 _EDGE_CLAMP = 1 << 10
 
 
-class EncodeIO:
-    """Bit-IO adapter wrapping a :class:`BoolEncoder`."""
+class BitIO:
+    """Codes one bit at a time through the model's adaptive bins.
 
-    encoding = True
+    The same object drives both directions — ``put`` on a
+    :class:`BoolEncoder`, ``get`` on a :class:`BoolDecoder` — so encoder and
+    decoder share every context computation above it.  Encoding also
+    charges each bit's Shannon cost to its context's section (``key[1]``)
+    for the Fig. 4 breakdown; decoding charges nothing.
+    """
 
-    def __init__(self, model: Model, encoder: BoolEncoder):
-        self.model = model
-        self.encoder = encoder
+    __slots__ = ("bins", "costs", "coder", "encoding")
 
-    def bit(self, key: tuple, bit: int = 0) -> int:
-        branch = self.model.branch(key)
-        prob = branch.prob_zero
-        self.encoder.put(bit, prob)
-        self.model.charge(prob, bit)
-        branch.record(bit)
-        return bit
-
-
-class DecodeIO:
-    """Bit-IO adapter wrapping a :class:`BoolDecoder`."""
-
-    encoding = False
-
-    def __init__(self, model: Model, decoder: BoolDecoder):
-        self.model = model
-        self.decoder = decoder
+    def __init__(self, model: Model, coder):
+        self.bins = model.bins
+        self.costs = model.costs
+        self.coder = coder
+        self.encoding = isinstance(coder, BoolEncoder)
 
     def bit(self, key: tuple, bit: int = 0) -> int:
-        branch = self.model.branch(key)
-        prob = branch.prob_zero
-        bit = self.decoder.get(prob)
-        self.model.charge(prob, bit)
-        branch.record(bit)
+        """Code ``bit`` (encode) or return the decoded bit, under ``key``'s
+        bin, then update that bin's counts."""
+        counts = self.bins.get(key)
+        if counts is None:
+            counts = self.bins[key] = [1, 1]
+        zeros, ones = counts
+        # Both counts stay in 1..255, so prob is always in 1..255.
+        prob = (zeros << 8) // (zeros + ones)
+        if self.encoding:
+            self.coder.put(bit, prob)
+            section = key[1]
+            self.costs[section] = self.costs.get(section, 0) + (
+                _BIT_COST[256 - prob] if bit else _BIT_COST[prob])
+        else:
+            bit = self.coder.get(prob)
+        # Lepton's u8 counters: on overflow, halve both counts.
+        if bit:
+            if ones < 255:
+                counts[1] = ones + 1
+            else:
+                counts[0] = (zeros + 1) >> 1
+                counts[1] = 128
+        elif zeros < 255:
+            counts[0] = zeros + 1
+        else:
+            counts[0] = 128
+            counts[1] = (ones + 1) >> 1
         return bit
 
 
@@ -177,10 +201,10 @@ class SegmentCodec:
     """
 
     def __init__(self, frame, quant_tables, coefficients: List[np.ndarray],
-                 config: Optional[ModelConfig] = None, model: Optional[Model] = None):
+                 config: Optional[ModelConfig] = None):
         self.frame = frame
         self.config = config or ModelConfig()
-        self.model = model or Model(self.config)
+        self.model = Model()
         self.layout = mcu_block_layout(frame)
         self.components = [
             ComponentState(ci, coefficients[ci], quant_tables[comp.quant_table_id])
@@ -199,12 +223,26 @@ class SegmentCodec:
         visibility must always be computed against the segment start, not
         the sub-range start.
         """
-        self._run(EncodeIO(self.model, encoder), mcu_start, mcu_end, seg_start)
+        self._run(BitIO(self.model, encoder), mcu_start, mcu_end, seg_start)
 
     def decode(self, decoder: BoolDecoder, mcu_start: int, mcu_end: int,
                seg_start: Optional[int] = None) -> None:
         """Decode MCUs ``[mcu_start, mcu_end)``, filling coefficient arrays."""
-        self._run(DecodeIO(self.model, decoder), mcu_start, mcu_end, seg_start)
+        self._run(BitIO(self.model, decoder), mcu_start, mcu_end, seg_start)
+
+    @property
+    def bit_costs(self) -> Dict[str, float]:
+        """Information the encoder charged per Fig. 4 category, in bits.
+
+        Folds the model's per-section fixed-point costs through
+        :data:`SECTION_CATEGORY`.  Reporting only, hence the one sanctioned
+        float conversion off the coded path.
+        """
+        fixed = dict.fromkeys(SECTION_CATEGORY.values(), 0)
+        for section, cost in self.model.costs.items():
+            fixed[SECTION_CATEGORY[section]] += cost
+        scale = 1 << COST_FRAC_BITS
+        return {k: v / scale for k, v in fixed.items()}  # lint: disable=D1
 
     # -- machinery ------------------------------------------------------
 
@@ -261,7 +299,6 @@ class SegmentCodec:
         above, left, above_left = self._neighbours(state, by, bx)
 
         # --- 7x7 non-zero count (§A.2.1) --------------------------------
-        io.model.set_category("nnz")
         n_above = int(state.nnz_grid[by - 1, bx]) if above is not None else 0
         n_left = int(state.nnz_grid[by, bx - 1]) if left is not None else 0
         ctx = nnz_bucket((n_above + n_left) // 2)
@@ -274,7 +311,6 @@ class SegmentCodec:
                 raise FormatError(f"decoded 7x7 non-zero count {nnz} > 49")
 
         # --- 49 interior AC coefficients, zigzag order ------------------
-        io.model.set_category("7x7")
         remaining = nnz
         for r in SEVEN_BY_SEVEN_ZIGZAG_ORDER:
             if remaining == 0:
@@ -295,7 +331,6 @@ class SegmentCodec:
         state.nnz_grid[by, bx] = nnz
 
         # --- 7x1 / 1x7 edge coefficients (§A.2.2) ------------------------
-        io.model.set_category("edge")
         nnz77_bucket = nnz_bucket(nnz)
         self._code_edge(io, state, cur, above, left, above_left,
                         horizontal=True, nnz77_bucket=nnz77_bucket)
@@ -303,7 +338,6 @@ class SegmentCodec:
                         horizontal=False, nnz77_bucket=nnz77_bucket)
 
         # --- DC, last (§A.2.3) -------------------------------------------
-        io.model.set_category("dc")
         self._code_dc(io, state, cur, above, left)
 
     def _code_edge(self, io, state: ComponentState, cur: np.ndarray,

@@ -14,7 +14,7 @@ why adding threads costs compression (§3.4) — an effect measured by
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 # --- fixed-point information accounting -----------------------------------
 
@@ -51,43 +51,6 @@ for _p in range(1, 256):
     _BIT_COST[_p] = (8 << COST_FRAC_BITS) - _log2_fix(_p)
 
 
-class Branch:
-    """One adaptive bin: counts of observed zeros/ones → P(bit == 0).
-
-    Counts start at (1, 1) — the 50/50 prior — and are renormalised by
-    halving when either saturates a byte, matching Lepton's u8 counters.
-    """
-
-    __slots__ = ("zeros", "ones")
-
-    def __init__(self):
-        self.zeros = 1
-        self.ones = 1
-
-    @property
-    def prob_zero(self) -> int:
-        """P(bit == 0) scaled to [1, 255] for the range coder."""
-        prob = (self.zeros << 8) // (self.zeros + self.ones)
-        if prob < 1:
-            return 1
-        if prob > 255:
-            return 255
-        return prob
-
-    def record(self, bit: int) -> None:
-        """Update counts after coding ``bit``."""
-        if bit:
-            self.ones += 1
-            if self.ones > 255:
-                self.ones = 128
-                self.zeros = (self.zeros + 1) >> 1 or 1
-        else:
-            self.zeros += 1
-            if self.zeros > 255:
-                self.zeros = 128
-                self.ones = (self.ones + 1) >> 1 or 1
-
-
 @dataclass
 class ModelConfig:
     """Tunable model behaviour; defaults reproduce the paper's design.
@@ -105,46 +68,22 @@ class ModelConfig:
 
 
 class Model:
-    """A lazily allocated bin store plus information-content accounting.
+    """One segment's statistic bins plus the encoder's information costs.
 
-    ``bit_costs`` accumulates the Shannon information (in bits) charged to
-    each component category — 'nnz', '7x7', 'edge', 'dc' — which is how the
-    Figure-4 breakdown is measured without per-symbol byte boundaries.
-    The accumulation itself runs in 2^16 fixed point so that the coded path
-    stays integer-exact; only the reporting property converts to float.
+    ``bins`` maps a context tuple to the bin's mutable ``[zeros, ones]``
+    counts, created at ``[1, 1]`` on first use by
+    :class:`~repro.core.coefcoder.BitIO`.  ``costs`` maps a context's
+    section id (``key[1]``) to the Shannon information of the bits encoded
+    under it, in 2^16 fixed point so the coded path stays integer-exact;
+    :attr:`~repro.core.coefcoder.SegmentCodec.bit_costs` folds it into the
+    Figure-4 categories.
     """
 
-    __slots__ = ("bins", "config", "_cost_fix", "_category")
+    __slots__ = ("bins", "costs")
 
-    def __init__(self, config: ModelConfig = None):
-        self.bins: Dict[Tuple, Branch] = {}
-        self.config = config or ModelConfig()
-        self._cost_fix = {"nnz": 0, "7x7": 0, "edge": 0, "dc": 0}
-        self._category = "7x7"
-
-    def branch(self, key: Tuple) -> Branch:
-        """The bin for a context, created at the 50/50 prior on first use."""
-        branch = self.bins.get(key)
-        if branch is None:
-            branch = Branch()
-            self.bins[key] = branch
-        return branch
-
-    def set_category(self, category: str) -> None:
-        """Route subsequent bit costs to a Figure-4 component category."""
-        self._category = category
-
-    def charge(self, prob: int, bit: int) -> None:
-        """Record the information content of one coded bit (fixed point)."""
-        cost = _BIT_COST[prob] if bit == 0 else _BIT_COST[256 - prob]
-        self._cost_fix[self._category] += cost
-
-    @property
-    def bit_costs(self) -> Dict[str, float]:
-        """Per-category information in bits (reporting only, hence the one
-        sanctioned float conversion off the coded path)."""
-        scale = 1 << COST_FRAC_BITS
-        return {k: v / scale for k, v in self._cost_fix.items()}  # lint: disable=D1
+    def __init__(self):
+        self.bins: Dict[Tuple, List[int]] = {}
+        self.costs: Dict[object, int] = {}
 
     @property
     def bin_count(self) -> int:

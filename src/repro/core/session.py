@@ -161,7 +161,7 @@ def code_segment_records(
         segments.append(SegmentRecord(mcu_start, mcu_end, handover, coded))
         if stats is not None:
             stats.segment_sizes.append(len(coded))
-            for category, bits in codec.model.bit_costs.items():
+            for category, bits in codec.bit_costs.items():
                 stats.bit_costs[category] = stats.bit_costs.get(category, 0.0) + bits
             stats.model_bins += codec.model.bin_count
     return segments

@@ -191,3 +191,17 @@ def test_trace_flag_exports_jsonl(tmp_path, jpeg_path):
     assert "lepton.encode.code_segment" in names
     compress_span = next(r for r in records if r["name"] == "lepton.compress")
     assert compress_span["depth"] == 0 and "wall_ms" in compress_span
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_unopenable_input_exits_no_input(tmp_path, capsys, command, missing):
+    """compress reads its input whole, decompress streams it in chunks;
+    either way an input that cannot be opened is one stderr line and
+    sysexits EX_NOINPUT (66), which no §6.2 status uses."""
+    path = tmp_path / "absent.jpg" if missing else tmp_path
+    out = tmp_path / "out"
+    assert main([command, str(path), str(out)]) == 66
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert capsys.readouterr().err == f"lepton: cannot read {path}: {reason}\n"
+    assert not out.exists()

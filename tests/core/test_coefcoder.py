@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
 from repro.core.coefcoder import (
-    DecodeIO,
-    EncodeIO,
+    BitIO,
     SegmentCodec,
     code_counter,
     code_value,
@@ -21,11 +20,11 @@ from repro.jpeg.scan_decode import decode_scan
 
 def _roundtrip_values(values, max_exp=14):
     enc = BoolEncoder()
-    io = EncodeIO(Model(), enc)
+    io = BitIO(Model(), enc)
     for v in values:
         code_value(io, ("t",), v, max_exp=max_exp)
     dec = BoolDecoder(enc.finish())
-    io = DecodeIO(Model(), dec)
+    io = BitIO(Model(), dec)
     return [code_value(io, ("t",), max_exp=max_exp) for _ in values]
 
 
@@ -64,14 +63,14 @@ class TestCodeCounter:
     @pytest.mark.parametrize("value", [0, 1, 31, 49, 63])
     def test_six_bit_counter(self, value):
         enc = BoolEncoder()
-        io = EncodeIO(Model(), enc)
+        io = BitIO(Model(), enc)
         code_counter(io, ("n",), 6, value)
-        dec_io = DecodeIO(Model(), BoolDecoder(enc.finish()))
+        dec_io = BitIO(Model(), BoolDecoder(enc.finish()))
         assert code_counter(dec_io, ("n",), 6) == value
 
     def test_tree_contexts_distinct_per_prefix(self):
         model = Model()
-        io = EncodeIO(model, BoolEncoder())
+        io = BitIO(model, BoolEncoder())
         code_counter(io, ("n",), 3, 0b101)
         # Bits at positions 2,1,0 with prefixes (0, 1, 0b10) → 3 bins.
         assert model.bin_count == 3
@@ -141,11 +140,11 @@ class TestSegmentCodec:
         )
         # Decoder sees ONLY zeros for segment 0's rows.
         out = [np.zeros_like(c) for c in parsed.coefficients]
-        SegmentCodec(frame, parsed.quant_tables, out).decode(
-            BoolDecoder(enc.finish()), half, frame.mcu_count
-        )
+        decoder = SegmentCodec(frame, parsed.quant_tables, out)
+        decoder.decode(BoolDecoder(enc.finish()), half, frame.mcu_count)
         luma_rows = (frame.mcus_y // 2) * frame.components[0].v
         assert np.array_equal(out[0][luma_rows:], parsed.coefficients[0][luma_rows:])
+        assert decoder.model.costs == {}  # Fig. 4 cost is charged on encode only
 
     def test_mid_row_start_roundtrip(self, parsed):
         """Chunk boundaries can start a segment mid-MCU-row."""
@@ -200,6 +199,6 @@ class TestSegmentCodec:
         enc = BoolEncoder()
         codec.encode(enc, 0, parsed.frame.mcu_count)
         coded_bits = len(enc.finish()) * 8
-        charged = sum(codec.model.bit_costs.values())
+        charged = sum(codec.bit_costs.values())
         # Information content matches actual output within coder overhead.
         assert charged == pytest.approx(coded_bits, rel=0.05, abs=64)

@@ -5,6 +5,12 @@ follows along with; these sha256s can.  Each case fixes an input and a
 configuration and pins the exact stored payload.  Any intentional format
 change must regenerate the table (``PYTHONPATH=src python
 tests/core/test_golden_containers.py`` prints it) and say why.
+
+The whole-file cases also pin the encoder's Fig. 4 accounting: the exact
+information charged per category (``stats.bit_costs``, in bits) and the
+number of statistic bins touched (``stats.model_bins``).  Neither reaches
+the stored bytes, so no sha256 would notice a coded bit being charged to
+the wrong ``nnz``/``7x7``/``edge``/``dc`` category.
 """
 
 import hashlib
@@ -54,17 +60,51 @@ GOLDEN = {
     "deflate_fallback": "6d3f1e6f8fa9b229a5a1f836ac20e6d4708bfbf6b6b9e890e6657394ccf79e0c",
 }
 
+#: name -> (stats.model_bins, stats.bit_costs) of the whole-file encode.
+#: Compared exactly: each category sums 2^-16-bit fixed-point costs, which
+#: a float holds without rounding at these sizes.
+GOLDEN_FIG4 = {
+    "gray_t1": (629, {
+        "nnz": 137.59854125976562, "7x7": 336.45860290527344,
+        "edge": 884.8890533447266, "dc": 157.4601593017578}),
+    "yuv420_t1": (1747, {
+        "nnz": 283.73072814941406, "7x7": 920.3255157470703,
+        "edge": 1858.5623168945312, "dc": 342.6531524658203}),
+    "yuv444_t1": (949, {
+        "nnz": 255.19952392578125, "7x7": 421.0917205810547,
+        "edge": 1394.8454895019531, "dc": 392.08802795410156}),
+    "restart3_t2": (1497, {
+        "nnz": 345.8775329589844, "7x7": 682.3723907470703,
+        "edge": 1442.8253021240234, "dc": 310.15721130371094}),
+    "yuv420_t2": (1736, {
+        "nnz": 387.1171569824219, "7x7": 696.1144561767578,
+        "edge": 2224.552780151367, "dc": 467.6450958251953}),
+    "yuv420_t4": (2295, {
+        "nnz": 453.03955078125, "7x7": 712.1220245361328,
+        "edge": 2401.158493041992, "dc": 532.8181304931641}),
+    "yuv444_restart2_t4": (1884, {
+        "nnz": 447.4492492675781, "7x7": 477.30931091308594,
+        "edge": 2047.3864288330078, "dc": 602.8568420410156}),
+    "yuv420_auto": (995, {
+        "nnz": 233.42935180664062, "7x7": 445.8571014404297,
+        "edge": 1265.9533996582031, "dc": 271.23895263671875}),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _lepton_payload(name: str) -> "tuple[bytes, bytes]":
+def _lepton_result(name: str):
     kwargs, threads = LEPTON_CASES[name]
     data = corpus_jpeg(**kwargs)
     result = compress(data, LeptonConfig(threads=threads))
     assert result.format == FORMAT_LEPTON, result.detail
-    return data, result.payload
+    return data, result
+
+
+def _fig4(result) -> tuple:
+    return result.stats.model_bins, result.stats.bit_costs
 
 
 def _chunked():
@@ -84,7 +124,7 @@ def _chunked_digest(chunks) -> str:
 
 
 def current_table() -> dict:
-    table = {name: _sha(_lepton_payload(name)[1]) for name in LEPTON_CASES}
+    table = {name: _sha(_lepton_result(name)[1].payload) for name in LEPTON_CASES}
     table["chunked_900"] = _chunked_digest(_chunked()[1])
     table["deflate_fallback"] = _sha(compress(DEFLATE_INPUT).payload)
     return table
@@ -92,8 +132,10 @@ def current_table() -> dict:
 
 @pytest.mark.parametrize("name", sorted(LEPTON_CASES))
 def test_lepton_container_bytes_pinned(name):
-    data, payload = _lepton_payload(name)
+    data, result = _lepton_result(name)
+    payload = result.payload
     assert _sha(payload) == GOLDEN[name]
+    assert _fig4(result) == GOLDEN_FIG4[name]
     assert decompress(payload) == data
 
 
@@ -115,3 +157,6 @@ def test_deflate_fallback_bytes_pinned():
 if __name__ == "__main__":
     for key, value in current_table().items():
         print(f'    "{key}": "{value}",')
+    print()
+    for name in LEPTON_CASES:
+        print(f'    "{name}": {_fig4(_lepton_result(name)[1])!r},')

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bool_coder import BoolEncoder
+from repro.core.coefcoder import BitIO, SegmentCodec
 from repro.core.model import (
-    Branch,
+    COST_FRAC_BITS,
     Model,
     ModelConfig,
     avg_bucket,
@@ -15,94 +17,122 @@ from repro.core.model import (
     nnz_bucket,
     pred_bucket,
 )
+from repro.jpeg.parser import parse_jpeg
+from repro.jpeg.scan_decode import decode_scan
+
+KEY = ("k", 0)
+
+
+class _Probe(BoolEncoder):
+    """An encoder that records the probability each bit was coded under."""
+
+    def __init__(self):
+        super().__init__()
+        self.probs = []
+
+    def put(self, bit: int, prob: int) -> None:
+        self.probs.append(prob)
+        super().put(bit, prob)
+
+
+def _prob_zero(io: BitIO, key=KEY) -> int:
+    """P(bit == 0) the bin under ``key`` offers its next bit."""
+    io.bit(key, 0)
+    return io.coder.probs[-1]
+
+
+def _bin(bits, key=KEY):
+    """The model and its BitIO after coding ``bits`` under ``key``."""
+    model = Model()
+    io = BitIO(model, _Probe())
+    for bit in bits:
+        io.bit(key, bit)
+    return model, io
+
+
+def _bits_charged(model: Model, section) -> float:
+    """Information the encoder charged to ``section``, in bits."""
+    return model.costs[section] / (1 << COST_FRAC_BITS)
 
 
 class TestBranch:
     def test_starts_at_even_odds(self):
-        assert Branch().prob_zero == 128
+        assert _prob_zero(_bin([])[1]) == 128
 
     def test_zeros_raise_prob_zero(self):
-        b = Branch()
-        for _ in range(20):
-            b.record(0)
-        assert b.prob_zero > 200
+        assert _prob_zero(_bin([0] * 20)[1]) > 200
 
     def test_ones_lower_prob_zero(self):
-        b = Branch()
-        for _ in range(20):
-            b.record(1)
-        assert b.prob_zero < 56
+        assert _prob_zero(_bin([1] * 20)[1]) < 56
 
     def test_prob_clamped_to_valid_range(self):
-        b = Branch()
-        for _ in range(10_000):
-            b.record(0)
-        assert 1 <= b.prob_zero <= 255
+        assert 1 <= _prob_zero(_bin([0] * 10_000)[1]) <= 255
 
     def test_renormalisation_keeps_counts_in_byte(self):
-        b = Branch()
-        for i in range(10_000):
-            b.record(i % 3 == 0)
-        assert 1 <= b.zeros <= 255
-        assert 1 <= b.ones <= 255
+        model, _io = _bin([int(i % 3 == 0) for i in range(10_000)])
+        zeros, ones = model.bins[KEY]
+        assert 1 <= zeros <= 255
+        assert 1 <= ones <= 255
 
     def test_renormalisation_preserves_skew(self):
-        b = Branch()
-        for _ in range(300):
-            b.record(0)
-        before = b.prob_zero
-        for _ in range(3):
-            b.record(0)
-        assert b.prob_zero >= before - 2  # halving must not flip the skew
+        _model, io = _bin([0] * 300)
+        before = _prob_zero(io)  # codes the first of three more zeros
+        for _ in range(2):
+            io.bit(KEY, 0)
+        assert _prob_zero(io) >= before - 2  # halving must not flip the skew
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 1), max_size=2000))
     def test_prob_always_valid(self, bits):
-        b = Branch()
-        for bit in bits:
-            b.record(bit)
-            assert 1 <= b.prob_zero <= 255
+        # BitIO does not clamp: this is the proof the coder always gets a
+        # probability in its 1..255 domain.
+        _model, io = _bin(bits)
+        _prob_zero(io)
+        assert all(1 <= prob <= 255 for prob in io.coder.probs)
 
 
 class TestModel:
     def test_bins_created_lazily(self):
         m = Model()
         assert m.bin_count == 0
-        m.branch(("a", 1))
-        m.branch(("a", 2))
-        m.branch(("a", 1))  # same context: no new bin
+        io = BitIO(m, BoolEncoder())
+        io.bit(("a", 1))
+        io.bit(("a", 2))
+        io.bit(("a", 1))  # same context: no new bin
         assert m.bin_count == 2
 
     def test_bins_are_independent(self):
-        m = Model()
-        m.branch(("x",)).record(0)
-        assert m.branch(("y",)).prob_zero == 128
+        _model, io = _bin([0], key=("x", 0))
+        assert _prob_zero(io, ("y", 0)) == 128
 
     def test_charge_accumulates_information(self):
         m = Model()
-        m.set_category("dc")
-        m.charge(128, 0)
-        assert m.bit_costs["dc"] == pytest.approx(1.0)
-        m.charge(128, 1)
-        assert m.bit_costs["dc"] == pytest.approx(2.0)
+        io = BitIO(m, BoolEncoder())
+        io.bit(("a", "dc"), 0)  # a fresh bin codes at 50/50: one bit
+        assert _bits_charged(m, "dc") == pytest.approx(1.0)
+        io.bit(("b", "dc"), 1)
+        assert _bits_charged(m, "dc") == pytest.approx(2.0)
 
     def test_charge_weights_by_surprise(self):
         m = Model()
-        m.set_category("7x7")
-        m.charge(250, 0)  # expected: cheap
-        cheap = m.bit_costs["7x7"]
+        m.bins[KEY] = [250, 6]  # P(0) = 250/256
+        BitIO(m, BoolEncoder()).bit(KEY, 0)  # expected: cheap
+        cheap = _bits_charged(m, KEY[1])
         m2 = Model()
-        m2.set_category("7x7")
-        m2.charge(250, 1)  # surprising: expensive
-        assert m2.bit_costs["7x7"] > cheap * 5
+        m2.bins[KEY] = [250, 6]
+        BitIO(m2, BoolEncoder()).bit(KEY, 1)  # surprising: expensive
+        assert _bits_charged(m2, KEY[1]) > cheap * 5
 
     def test_default_config(self):
-        assert Model().config.edge_mode == "lakhani"
-        assert Model().config.dc_mode == "gradient"
+        assert ModelConfig().edge_mode == "lakhani"
+        assert ModelConfig().dc_mode == "gradient"
 
-    def test_config_carried(self):
+    def test_config_carried(self, gray_jpeg):
+        img = parse_jpeg(gray_jpeg)
+        decode_scan(img)
         config = ModelConfig(edge_mode="avg", dc_mode="packjpg")
-        assert Model(config).config.dc_mode == "packjpg"
+        codec = SegmentCodec(img.frame, img.quant_tables, img.coefficients, config)
+        assert codec.config.dc_mode == "packjpg"
 
 
 class TestBuckets:
@@ -181,11 +211,12 @@ class TestFixedPointCosts:
         for n in range(1, 50):
             assert _NNZ_BUCKET[n] == min(int(math.log(n) / log159), 9)
 
-    def test_charge_state_is_integer(self):
-        m = Model()
-        m.set_category("edge")
-        m.charge(37, 1)
-        m.charge(219, 0)
-        assert all(isinstance(v, int) for v in m._cost_fix.values())
+    def test_charge_state_is_integer(self, gray_jpeg):
+        img = parse_jpeg(gray_jpeg)
+        decode_scan(img)
+        codec = SegmentCodec(img.frame, img.quant_tables, img.coefficients)
+        codec.encode(BoolEncoder(), 0, img.frame.mcu_count)
+        assert codec.model.costs
+        assert all(isinstance(v, int) for v in codec.model.costs.values())
         # The public property still reports float bits.
-        assert m.bit_costs["edge"] > 0.0
+        assert codec.bit_costs["edge"] > 0.0
