@@ -6,8 +6,9 @@ returning bytes before they finish (§4.2's width-bounded working set, §5's
 benchmark — is the same code with different plumbing.  This module is that
 single pipeline for the reproduction:
 
-* :class:`EncodeSession` consumes input chunks and yields the container as
-  chunks (header first, then interleaved arithmetic sections);
+* :class:`EncodeSession` consumes input chunks and codes any byte window
+  of the file (a 4-MiB chunk; the whole file is ``[0, len)``) into a
+  container, yielded as chunks (header, then arithmetic sections);
 * :class:`DecodeSession` consumes container chunks and yields original
   bytes as soon as they are decodable — the file prefix right after the
   secondary header parses, then one piece per decoded MCU row band;
@@ -35,6 +36,7 @@ than maintaining forked copies of the codec loop with inline clocks.
 """
 
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -57,7 +59,7 @@ from repro.core.format import (
 from repro.core.handover import HandoverWord
 from repro.core.model import ModelConfig
 from repro.core.rowbuffer import RowWindow
-from repro.core.segments import choose_thread_count, plan_segments
+from repro.core.segments import choose_thread_count, plan_segments_range
 from repro.jpeg.parser import JpegImage, parse_jpeg
 from repro.jpeg.scan_decode import decode_scan
 from repro.jpeg.scan_encode import ScanEncoder, encode_scan
@@ -137,12 +139,12 @@ def code_segment_records(
 ) -> List[SegmentRecord]:
     """Arithmetic-code the given MCU ranges into :class:`SegmentRecord`\\ s.
 
-    This is the *only* segment-coding loop in the tree: whole-file encodes
-    (:class:`EncodeSession`) and 4-MiB chunk windows
-    (:mod:`repro.core.chunks`) both route through it, and lint rule D6
-    rejects any new ``SegmentCodec``/``BoolEncoder`` drive loop outside
-    this module.  Model construction and boolean coding are one interleaved
-    stage: every coded bit consults the adaptive bins it just updated.
+    This is the *only* segment-coding loop in the tree, called only by
+    :meth:`EncodeSession.window` (whole files and 4-MiB chunks alike); lint
+    rule D6 rejects calls to it, and any new ``SegmentCodec``/``BoolEncoder``
+    drive loop, outside this module.  Model construction and boolean coding
+    are one interleaved stage: every coded bit consults the adaptive bins
+    it just updated.
     """
     frame = img.frame
     segments: List[SegmentRecord] = []
@@ -170,17 +172,17 @@ def code_segment_records(
 class EncodeSession:
     """Streaming JPEG → Lepton conversion (§3).
 
-    Feed input chunks with :meth:`write`; :meth:`finish` runs the pipeline
-    — parse, Huffman scan decode, the §5.7 round-trip admission check,
-    segment planning, memory-budget enforcement, arithmetic coding — and
-    yields the container as chunks via the incremental writer.  Encoding
-    inherently sees the whole file (the admission check re-encodes the
-    entire scan), so ``write`` buffers; the *output* side streams.
+    Feed input chunks with :meth:`write`.  The first :meth:`window` admits
+    the whole buffered file once — parse, Huffman scan decode, the §5.7
+    round-trip admission check, thread count, memory budgets — and each
+    window ``[a, b)`` is then arithmetic-coded into a container that
+    decodes on its own (§1, §3.4).  :meth:`finish` yields the whole file,
+    window ``[0, len)``, as chunks via the incremental writer.  Encoding
+    sees the whole file, so ``write`` buffers; the *output* side streams.
 
-    After :meth:`finish` is exhausted, :attr:`stats` holds the
-    :class:`EncodeStats`, :attr:`image` the parsed JPEG, and
-    :attr:`stage_seconds` / :attr:`segment_seconds` the per-stage span
-    timings the ``_timed`` adapter reads.
+    After admission :attr:`image` holds the parsed JPEG and :attr:`stats`
+    the :class:`EncodeStats` of the windows coded so far;
+    :attr:`stage_seconds` / :attr:`segment_seconds` the span timings.
     """
 
     def __init__(
@@ -199,6 +201,8 @@ class EncodeSession:
         self._deadline = deadline
         self._allow_cmyk = allow_cmyk
         self._parts: List[bytes] = []
+        self._positions = None
+        self._offsets: List[int] = []
         self.image: Optional[JpegImage] = None
         self.stats: Optional[EncodeStats] = None
         self.stage_seconds: Dict[str, float] = {}
@@ -213,8 +217,10 @@ class EncodeSession:
             self.stage_seconds.get(name, 0.0) + record.wall_seconds
         )
 
-    def finish(self) -> Iterator[bytes]:
-        """Run the pipeline; yields the Lepton container as chunks."""
+    def _admit(self) -> JpegImage:
+        """Parse, decode and verify the buffered file; enforce the budgets."""
+        if self.image is not None:
+            return self.image
         data = b"".join(self._parts)
         self._parts = []
         with trace_span("lepton.encode.parse") as rec:
@@ -227,53 +233,97 @@ class EncodeSession:
             positions = verify_and_index(img)
         self._stage("verify_index", rec)
 
-        thread_count = (
-            self._threads if self._threads is not None else choose_thread_count(len(data))
-        )
+        if self._threads is None:
+            self._threads = choose_thread_count(len(data))
         frame = img.frame
-        seg_ranges = plan_segments(frame.mcus_y, frame.mcus_x, thread_count)
-
+        segment_count = len(
+            plan_segments_range(0, frame.mcu_count, frame.mcus_x, self._threads)
+        )
         if self._decode_memory_limit is not None:
-            needed = estimate_decode_memory(img, len(seg_ranges))
+            needed = estimate_decode_memory(img, segment_count)
             if needed > self._decode_memory_limit:
                 raise MemoryLimitExceeded(
                     f"decode would need {needed} bytes > limit {self._decode_memory_limit}",
                     ExitCode.DECODE_MEMORY_EXCEEDED,
                 )
         if self._encode_memory_limit is not None:
-            needed = estimate_encode_memory(img, len(seg_ranges))
+            needed = estimate_encode_memory(img, segment_count)
             if needed > self._encode_memory_limit:
                 raise MemoryLimitExceeded(
                     f"encode would need {needed} bytes > limit {self._encode_memory_limit}",
                     ExitCode.ENCODE_MEMORY_EXCEEDED,
                 )
 
-        stats = EncodeStats(input_size=len(data), thread_count=len(seg_ranges))
-        segments = code_segment_records(
-            img,
-            seg_ranges,
-            positions,
-            self._model_config,
-            deadline=self._deadline,
-            stats=stats,
-            segment_seconds=self.segment_seconds,
-        )
-        lepton = LeptonFile(
+        self._positions = positions
+        # Non-decreasing scan byte offsets, one per MCU plus the end state.
+        self._offsets = [p.byte_offset for p in positions]
+        self.stats = EncodeStats(input_size=len(data), thread_count=segment_count)
+        self.image = img
+        return img
+
+    def window(self, a: int, b: int) -> LeptonFile:
+        """The self-contained container for original bytes ``[a, b)``: it
+        re-encodes the MCU span covering them from the handover word where
+        ``a`` falls (even mid-symbol), then trims to the exact window."""
+        img = self._admit()
+        header_len = len(img.header_bytes)
+        scan_len = len(img.scan_data)
+        mcu_count = img.frame.mcu_count
+        # Partition the window into header / scan / trailer parts.
+        prefix_offset = min(a, header_len)
+        prefix_length = max(0, min(b, header_len) - prefix_offset)
+        scan_lo = max(0, min(a - header_len, scan_len))
+        scan_hi = max(0, min(b - header_len, scan_len))
+        trailer_lo = max(0, a - header_len - scan_len)
+        trailer_hi = max(0, b - header_len - scan_len)
+
+        segments: List[SegmentRecord] = []
+        scan_skip = 0
+        pad_final = False
+        if scan_hi > scan_lo:
+            offsets = self._offsets
+            # MCU whose encoding covers byte scan_lo: the last MCU starting
+            # at or before it.  bisect_right-1 also skips zero-length MCU
+            # starts that share the same byte.  Clamp to the last real MCU:
+            # a window holding only the final pad byte (scan_lo >= the
+            # end-of-scan offset) is produced by re-encoding the last MCU
+            # with pad_final and trimming via scan_skip.  A window from the
+            # scan start codes from MCU 0 (as the whole file must) even when
+            # several small MCUs start inside byte 0.
+            m_a = bisect_right(offsets, scan_lo) - 1 if scan_lo else 0
+            m_a = min(max(0, m_a), mcu_count - 1)
+            if scan_hi >= scan_len:
+                m_b = mcu_count
+                pad_final = True
+            else:
+                m_b = bisect_left(offsets, scan_hi)
+                m_b = min(max(m_b, m_a + 1), mcu_count)
+            scan_skip = scan_lo - offsets[m_a]
+            seg_ranges = plan_segments_range(m_a, m_b, img.frame.mcus_x, self._threads)
+            segments = code_segment_records(
+                img, seg_ranges, self._positions, self._model_config,
+                deadline=self._deadline, stats=self.stats,
+                segment_seconds=self.segment_seconds)
+
+        return LeptonFile(
             jpeg_header=img.header_bytes,
             pad_bit=img.pad_bit or 0,
             rst_count=img.rst_count,
-            output_size=len(data),
-            prefix_offset=0,
-            prefix_length=len(img.header_bytes),
-            trailer=img.trailer_bytes,
-            scan_skip=0,
-            scan_take=len(img.scan_data),
-            pad_final=True,
+            output_size=b - a,
+            prefix_offset=prefix_offset,
+            prefix_length=prefix_length,
+            trailer=img.trailer_bytes[trailer_lo:trailer_hi],
+            scan_skip=scan_skip,
+            scan_take=scan_hi - scan_lo,
+            pad_final=pad_final,
             segments=segments,
         )
-        self.image = img
-        self.stats = stats
-        pieces = iter_container(lepton)
+
+    def finish(self) -> Iterator[bytes]:
+        """Code the whole file as one window; yields the container as chunks."""
+        self._admit()
+        stats = self.stats
+        pieces = iter_container(self.window(0, stats.input_size))
         while True:
             with trace_span("lepton.encode.container") as rec:
                 piece = next(pieces, None)

@@ -521,17 +521,17 @@ _CODEC_CLASSES = ("SegmentCodec", "BoolEncoder", "BoolDecoder")
 @register
 class CodecLoopContainment(Rule):
     """The streaming session owns the one segment-coding loop; any other
-    module instantiating the arithmetic coder regrows the fork that let the
-    timed and chunked entry points silently drift from the real pipeline."""
+    module instantiating the arithmetic coder or calling that loop regrows
+    the fork that let the timed and chunked entry points drift apart."""
 
     id = "D6"
     name = "codec-loop-containment"
     summary = ("instantiating `SegmentCodec`/`BoolEncoder`/`BoolDecoder` "
                "outside the session module (and the modules that define "
-               "them) is forbidden — every entry point must drive the codec "
-               "through `EncodeSession`/`DecodeSession` or "
-               "`code_segment_records`, so there is exactly one coding loop "
-               "to qualify")
+               "them), or calling `code_segment_records` outside it, is "
+               "forbidden — every entry point must drive the codec through "
+               "`EncodeSession`/`DecodeSession`, so there is exactly one "
+               "coding loop to qualify")
     paper_ref = "§3.4 (one codec, many surfaces), §5.4/§5.7 (qualification)"
 
     #: The session plus the modules that *define* the codec classes.
@@ -541,16 +541,20 @@ class CodecLoopContainment(Rule):
     def check_module(self, info, config):
         allowed = config.option(self.id, "allowed_modules",
                                 self._DEFAULT_ALLOWED)
-        if info.module in allowed:
-            return
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
             origin = dotted_name(node.func, info.imports)
-            if origin and origin.split(".")[-1] in _CODEC_CLASSES:
+            name = origin.split(".")[-1] if origin else None
+            if name == "code_segment_records" and info.module != "repro.core.session":
                 yield self.finding(
                     info, node,
-                    f"`{origin.split('.')[-1]}` instantiated outside "
-                    "repro.core.session: drive the codec through "
-                    "EncodeSession/DecodeSession (or code_segment_records) "
+                    "`code_segment_records` called outside repro.core.session: "
+                    "code the range as an EncodeSession.window — the encode "
+                    "pipeline must not fork")
+            elif name in _CODEC_CLASSES and info.module not in allowed:
+                yield self.finding(
+                    info, node,
+                    f"`{name}` instantiated outside repro.core.session: "
+                    "drive the codec through EncodeSession/DecodeSession "
                     "— the segment-coding loop must not fork")

@@ -77,8 +77,8 @@ class BlockStore:
     rejected_roundtrips: int = 0
     lepton_bytes_in: int = 0
     lepton_bytes_out: int = 0
-    # Per-conversion exit codes are tabulated by the compress() layer into
-    # the global registry (lepton.compress.exit_codes — docs/observability.md).
+    # compress_chunked tabulates one exit code per put into the global
+    # registry (lepton.compress.exit_codes — docs/observability.md).
     # -- degraded-read mode (repro.faults / docs/deployment.md) ----------
     #: Keep a deflate copy of every admitted chunk's original bytes so a
     #: persistently corrupt Lepton payload can still serve the file.

@@ -2,6 +2,7 @@
 
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.chunks import (
@@ -10,8 +11,11 @@ from repro.core.chunks import (
     compress_chunked,
     decompress_chunk,
 )
-from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig
+from repro.core.errors import ExitCode, TimeoutExceeded
+from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig, compress
 from repro.corpus.builder import corpus_jpeg
+from repro.jpeg.writer import encode_baseline_jpeg
+from repro.obs import ExitCodeSink
 
 
 def verify_each(data, chunks):
@@ -99,7 +103,17 @@ def test_boundary_in_trailer():
 def test_single_chunk_file_matches_whole_compress(medium_jpeg):
     chunks = compress_chunked(medium_jpeg, 1 << 30)
     assert len(chunks) == 1
+    assert chunks[0].payload == compress(medium_jpeg).payload
     assert decompress_chunk(chunks[0]) == medium_jpeg
+
+
+def test_window_from_scan_start_codes_from_first_mcu():
+    """A flat image codes each MCU in a few bits, so several MCUs start in
+    scan byte 0; a window from the scan start must still code from MCU 0,
+    or the whole file as one chunk would not equal compress()."""
+    data = encode_baseline_jpeg(np.full((64, 64), 128, dtype=np.uint8))
+    assert compress_chunked(data, len(data))[0].payload == compress(data).payload
+    assert verify_each(data, compress_chunked(data, 40))
 
 
 def test_non_jpeg_falls_back_to_deflate_chunks():
@@ -148,3 +162,23 @@ def test_final_chunk_holding_only_the_pad_byte():
     assert all(c.format == "lepton" for c in chunks)
     assert verify_each(data, chunks)
     assert reassemble(chunks) == data
+
+
+def test_dc_overflow_falls_back_like_compress(dc_overflow_jpeg):
+    """A file compress() rejects with a §6.2 code is stored as Deflate by
+    the chunked path too, rather than escaping it as an exception."""
+    assert compress(dc_overflow_jpeg).exit_code is ExitCode.AC_OUT_OF_RANGE
+    chunks = compress_chunked(dc_overflow_jpeg, 400)
+    assert len(chunks) > 1
+    assert all(c.format == FORMAT_DEFLATE for c in chunks)
+    assert verify_each(dc_overflow_jpeg, chunks)
+    assert reassemble(chunks) == dc_overflow_jpeg
+
+
+def test_deadline_propagates_with_one_timeout_code(medium_jpeg):
+    """An expired deadline is the caller's, not a reject: it is raised,
+    not turned into Deflate chunks, and tallied once as a timeout."""
+    sink = ExitCodeSink()
+    with pytest.raises(TimeoutExceeded):
+        compress_chunked(medium_jpeg, 700, deadline=-1.0)
+    assert sink.counts() == {ExitCode.TIMEOUT: 1}

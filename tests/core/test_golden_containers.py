@@ -137,6 +137,10 @@ def test_lepton_container_bytes_pinned(name):
     assert _sha(payload) == GOLDEN[name]
     assert _fig4(result) == GOLDEN_FIG4[name]
     assert decompress(payload) == data
+    # The whole file is chunk window [0, len): one chunk, the same bytes.
+    config = LeptonConfig(threads=LEPTON_CASES[name][1])
+    whole = compress_chunked(data, len(data), config)
+    assert [c.payload for c in whole] == [payload]
 
 
 def test_chunked_container_bytes_pinned():

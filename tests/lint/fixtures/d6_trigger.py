@@ -14,3 +14,9 @@ def code_segment_by_hand(img, positions, config, start, end):
 def decode_segment_by_hand(img, payload, config, start, end):
     codec = SegmentCodec(img.frame, img.coefficients, config)
     codec.decode(BoolDecoder(payload), start, end)
+
+
+def code_window_by_hand(img, seg_ranges, positions, config):
+    from repro.core.session import code_segment_records
+
+    return code_segment_records(img, seg_ranges, positions, config)

@@ -277,6 +277,24 @@ def test_gate_concurrent_cancellation_releases_exactly_once():
     asyncio.run(_main())
 
 
+def test_rejected_jpeg_puts_leave_breaker_closed(dc_overflow_jpeg, small_jpeg):
+    """A JPEG the codec rejects (its DC residuals overflow) is stored as
+    Deflate, so repeated uploads of it are successes, not 500s that trip
+    the ``/files`` breaker against every other tenant."""
+    async def scenario(server, client):
+        for i in range(5):
+            put = await client.put_file(dc_overflow_jpeg, tenant=f"t{i}")
+            assert put.status in (200, 201), put.body
+        got = await client.get_file(put.json()["id"])
+        assert got.status == 200 and got.body == dc_overflow_jpeg
+        other = await client.put_file(small_jpeg, tenant="other")
+        assert other.status == 201
+        health = (await client.request("GET", "/healthz")).json()
+        assert health["breakers"]["/files"]["state"] == "closed"
+
+    with_server(scenario, _config())
+
+
 # -- /healthz carries the breaker board (satellite) ------------------------
 
 def test_healthz_reports_breaker_state_per_endpoint(small_jpeg):

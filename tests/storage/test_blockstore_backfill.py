@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.chunks import chunk_ranges
 from repro.core.errors import ExitCode
-from repro.core.lepton import LeptonConfig
+from repro.core.lepton import FORMAT_DEFLATE, LeptonConfig
 from repro.corpus import corruptions
 from repro.corpus.builder import corpus_jpeg
+from repro.obs import ExitCodeSink
 from repro.storage.backfill import (
     BackfillWorker,
     DropSpot,
@@ -77,6 +78,26 @@ class TestBlockStore:
     def test_non_jpeg_stored_deflate(self, store):
         store.put_file("notes.txt", b"hello " * 500)
         assert store.get_file("notes.txt") == b"hello " * 500
+
+    def test_each_put_records_one_exit_code(self, store):
+        """The storage path tabulates one §6.2 code per conversion, in the
+        same ``lepton.compress.exit_codes`` series compress() feeds."""
+        sink = ExitCodeSink()
+        store.put_file("notes.txt", b"hello " * 500)
+        assert sink.counts() == {ExitCode.NOT_AN_IMAGE: 1}
+        store.put_file("a.jpg", corpus_jpeg(seed=73, height=64, width=64))
+        assert sink.counts() == {ExitCode.NOT_AN_IMAGE: 1, ExitCode.SUCCESS: 1}
+
+    def test_dc_overflow_stored_deflate(self, store, dc_overflow_jpeg):
+        """A file whose DC residuals overflow the coder is a §6.2 reject,
+        stored as Deflate — not an exception out of put_file."""
+        sink = ExitCodeSink()
+        record = store.put_file("bright.jpg", dc_overflow_jpeg)
+        assert len(record.chunk_keys) > 1
+        assert all(store.entries[key].chunk.format == FORMAT_DEFLATE
+                   for key in record.chunk_keys)
+        assert sink.counts() == {ExitCode.AC_OUT_OF_RANGE: 1}
+        assert store.get_file("bright.jpg") == dc_overflow_jpeg
 
     def test_integrity_check_on_read(self, store):
         data = corpus_jpeg(seed=72, height=64, width=64)
